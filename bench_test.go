@@ -309,37 +309,6 @@ func BenchmarkSeqS1196(b *testing.B) {
 	b.ReportMetric(u, "U-seq")
 }
 
-// BenchmarkFig3Wide is BenchmarkFig3Correlation at 512-bit lanes
-// (W=8): the same experiment, config and seeds, differing only in the
-// bit-parallel lane width. Wide lanes are bit-identical to the scalar
-// engine, so the pinned correlation must match Fig3Correlation's
-// exactly; the ns/op pair tracks the wide path's cold-start cost
-// (cone grouping + program compilation included) against the scalar
-// walk.
-func BenchmarkFig3Wide(b *testing.B) {
-	c, err := gen.ISCAS85("c432")
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
-	var corr float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(c, lib, experiments.Fig3Config{
-			Depth:     5,
-			Vectors:   4000,
-			Seed:      1,
-			MaxGates:  12,
-			LaneWords: 8,
-			Golden:    experiments.GoldenConfig{Vectors: 5, Seed: 2},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		corr = res.Correlation
-	}
-	b.ReportMetric(corr, "correlation")
-}
-
 // BenchmarkSusceptibilityC7552 measures the per-gate susceptibility
 // product's hot path on the largest ISCAS-85 member: a warm compiled
 // handle (characterization done, sensitization memoized) re-analyzed
@@ -376,13 +345,12 @@ func BenchmarkSusceptibilityC7552(b *testing.B) {
 	b.ReportMetric(100*top10, "top10-share-pct")
 }
 
-// BenchmarkSusceptibilityC7552Wide is the susceptibility hot path in
-// the serving tier's fast configuration: 512-bit lanes (W=8) and the
-// lean analysis mode (pooled scratch, no retained WS/Wij arenas). The
-// ranking metric is pinned alongside the exact-mode benchmark — wide
-// lanes and lean mode are bit-identical to it, so any drift here is a
-// correctness bug, not a tuning artifact.
-func BenchmarkSusceptibilityC7552Wide(b *testing.B) {
+// BenchmarkSusceptibilityC7552Lean is the susceptibility hot path in
+// the serving tier's configuration: the lean analysis mode (pooled
+// scratch, no retained WS/Wij arenas). The ranking metric is pinned
+// alongside the full-report benchmark — lean mode is bit-identical to
+// it, so any drift here is a correctness bug, not a tuning artifact.
+func BenchmarkSusceptibilityC7552Lean(b *testing.B) {
 	s := NewSystem(CoarseCharacterization)
 	c, err := Benchmark("c7552")
 	if err != nil {
@@ -392,7 +360,7 @@ func BenchmarkSusceptibilityC7552Wide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := AnalysisOptions{Vectors: 10000, Seed: 1, Lean: true, LaneWords: 8}
+	opts := AnalysisOptions{Vectors: 10000, Seed: 1, Lean: true}
 	// Warm the library and the handle's memoized sensitization outside
 	// the timed loop.
 	if _, err := s.AnalyzeCompiled(h, opts); err != nil {

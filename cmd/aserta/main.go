@@ -40,7 +40,6 @@ func main() {
 		susc     = flag.Bool("susceptibility", false, "print the ranked per-gate susceptibility report (share + cumulative share) instead of the default tables")
 		coarse   = flag.Bool("coarse", false, "use the coarse characterization grid (faster)")
 		libcache = flag.String("libcache", "", "path to a JSON library cache (loaded if present, saved after)")
-		lanes    = flag.Int("lane-words", 1, "bit-parallel lane width in 64-bit words (1, 4 or 8; results are bit-identical at every width)")
 		approx   = flag.Bool("approx", false, "bounded-error sampled analysis instead of the exact run (combinational only); reports a confidence interval on U")
 		relerr   = flag.Float64("approx-relerr", 0.05, "approx: target relative half-width of the confidence interval")
 		conf     = flag.Float64("approx-confidence", 0.95, "approx: interval coverage (0.90, 0.95 or 0.99)")
@@ -86,7 +85,7 @@ func main() {
 			log.Fatal("-approx supports the combinational flow only (omit -cycles)")
 		}
 		rep, err := sys.AnalyzeSequential(c, ser.SequentialOptions{
-			Cycles: *cycles, Vectors: *vectors, Seed: *seed, LaneWords: *lanes,
+			Cycles: *cycles, Vectors: *vectors, Seed: *seed,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -106,7 +105,7 @@ func main() {
 			}
 		}
 	} else {
-		opts := ser.AnalysisOptions{Vectors: *vectors, Seed: *seed, LaneWords: *lanes}
+		opts := ser.AnalysisOptions{Vectors: *vectors, Seed: *seed}
 		if *approx {
 			opts.Approx = &ser.ApproxOptions{
 				RelErr:       *relerr,

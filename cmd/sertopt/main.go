@@ -48,7 +48,6 @@ func main() {
 		method  = flag.String("method", "sqp", `optimizer: "sqp" or "anneal"`)
 		top     = flag.Int("top", 5, "susceptibility entries to show in the before/after soft-spot table (0 disables)")
 		coarse  = flag.Bool("coarse", false, "use the coarse characterization grid (faster)")
-		lanes   = flag.Int("lane-words", 1, "bit-parallel lane width in 64-bit words (1, 4 or 8; results are bit-identical at every width)")
 	)
 	flag.Parse()
 
@@ -91,7 +90,6 @@ func main() {
 		Vectors:    *vectors,
 		Seed:       *seed,
 		Method:     *method,
-		LaneWords:  *lanes,
 	})
 	if err != nil {
 		log.Fatal(err)

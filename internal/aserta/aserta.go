@@ -78,11 +78,6 @@ type Config struct {
 	// falls back to an exact full re-evaluation per call (no
 	// incremental delta baseline is retained).
 	Lean bool
-	// LaneWords is the bit-parallel simulation lane width in 64-bit
-	// words (1, 4 or 8; default 1). Sensitization counts are
-	// bit-identical across widths — wider lanes only change how many
-	// vectors each arena pass carries.
-	LaneWords int
 	// Spans, when non-nil, receives one span per pipeline stage
 	// (sources, sensitization, electrical, reduce). Timing is
 	// observational only — it never alters numerics or RNG streams —
@@ -100,7 +95,6 @@ func (cfg Config) withDefaults() Config {
 		POLoad:       cfg.POLoad,
 		ClockPeriod:  cfg.ClockPeriod,
 		WideWidth:    cfg.WideWidth,
-		LaneWords:    cfg.LaneWords,
 	}
 	p.Normalize()
 	cfg.Vectors = p.Vectors
@@ -108,7 +102,6 @@ func (cfg Config) withDefaults() Config {
 	cfg.POLoad = p.POLoad
 	cfg.ClockPeriod = p.ClockPeriod
 	cfg.WideWidth = p.WideWidth
-	cfg.LaneWords = p.LaneWords
 	if cfg.FullRecomputeEvery == 0 {
 		cfg.FullRecomputeEvery = 64
 	}
@@ -255,9 +248,9 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, cells Ass
 		// Memoized on the handle: repeated analyses of one compiled
 		// circuit (the serving tier's warm path, SERTOPT's cost loop,
 		// the sequential engine's frames) run the simulation once per
-		// (vectors, seed, lane-width) triple.
+		// (vectors, seed) pair.
 		endSens := trace.StartStage(cfg.Spans, "logicsim.sensitization")
-		a.Sens, err = logicsim.SensitizationLanes(cc, cfg.Vectors, cfg.Seed, cfg.LaneWords)
+		a.Sens, err = logicsim.Sensitization(cc, cfg.Vectors, cfg.Seed)
 		endSens()
 		if err != nil {
 			return nil, err

@@ -8,7 +8,9 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/ckt"
 	"repro/internal/devmodel"
+	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/logicsim"
 )
 
 var (
@@ -233,6 +235,25 @@ func TestDeterministicAnalysis(t *testing.T) {
 	a2 := analyzeC17(t, Config{Vectors: 3000, Seed: 42})
 	if a1.U != a2.U {
 		t.Fatalf("analysis not deterministic: %g vs %g", a1.U, a2.U)
+	}
+}
+
+// TestAnalyzeSharesSensitizationMemo checks that an analysis reuses
+// the very sensitization result logicsim.Sensitization memoizes on the
+// handle at the same (vectors, seed), instead of simulating again.
+func TestAnalyzeSharesSensitizationMemo(t *testing.T) {
+	c := gen.C17()
+	cc := engine.MustCompile(c)
+	sens, err := logicsim.Sensitization(cc, 3000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := AnalyzeCompiled(cc, lib(), NominalAssignment(c, lib(), 2), Config{Vectors: 3000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Sens != sens {
+		t.Fatal("analysis did not reuse the memoized sensitization")
 	}
 }
 

@@ -30,13 +30,6 @@ type CompareOptions struct {
 	// allocation regression in a hot loop moves them by orders of
 	// magnitude, so a loose factor separates the two cleanly.
 	AllocFactor float64
-	// WidePairFactor bounds the ns/op ratio of each "<name>Wide"
-	// benchmark over its scalar "<name>" counterpart against the same
-	// ratio in the baseline. The pair runs on one machine in one
-	// session, so the ratio pins the wide-lane engine's relative cost
-	// much more tightly than two absolute ns/op gates on noisy,
-	// heterogeneous runners ever could. Defaults to NsFactor.
-	WidePairFactor float64
 	// MemCeilingsB, when non-empty, gates the named benchmarks' B/op
 	// against an absolute byte ceiling — independent of any baseline
 	// (an empty baseline report works). Relative factors cannot pin
@@ -55,9 +48,6 @@ func (o CompareOptions) WithDefaults() CompareOptions {
 	}
 	if o.NsFactor <= 0 {
 		o.NsFactor = 2.5
-	}
-	if o.WidePairFactor <= 0 {
-		o.WidePairFactor = o.NsFactor
 	}
 	return o
 }
@@ -163,7 +153,6 @@ func Compare(base, cur *Report, opts CompareOptions) []Regression {
 			}
 		}
 	}
-	regs = append(regs, compareWidePairs(base, curByName, opts)...)
 	regs = append(regs, compareMemCeilings(curByName, opts)...)
 	return regs
 }
@@ -206,48 +195,6 @@ func compareMemCeilings(curByName map[string]*Benchmark, opts CompareOptions) []
 				Base:      ceil,
 				New:       bop,
 				Reason:    fmt.Sprintf("%.0f B/op over the absolute ceiling %.0f", bop, ceil),
-			})
-		}
-	}
-	return regs
-}
-
-// compareWidePairs applies the WidePairFactor gate: for every
-// baseline pair "<name>" / "<name>Wide" present in both reports, the
-// current run's wide-over-scalar ns/op ratio may not exceed the
-// baseline's ratio by more than the factor. Absolute ns/op gates have
-// already run; this catches the wide engine quietly losing ground
-// relative to the scalar walk while both stay inside the loose
-// absolute bound.
-func compareWidePairs(base *Report, curByName map[string]*Benchmark, opts CompareOptions) []Regression {
-	baseByName := make(map[string]*Benchmark, len(base.Benchmarks))
-	for i := range base.Benchmarks {
-		b := &base.Benchmarks[i]
-		baseByName[b.Name] = b
-	}
-	var regs []Regression
-	for i := range base.Benchmarks {
-		bw := &base.Benchmarks[i]
-		scalar, ok := strings.CutSuffix(bw.Name, "Wide")
-		if !ok || scalar == "" {
-			continue
-		}
-		bs := baseByName[scalar]
-		nw, ns := curByName[bw.Name], curByName[scalar]
-		if bs == nil || nw == nil || ns == nil ||
-			bs.NsPerOp <= 0 || bw.NsPerOp <= 0 || ns.NsPerOp <= 0 || nw.NsPerOp <= 0 {
-			continue // missing members were already reported
-		}
-		baseRatio := bw.NsPerOp / bs.NsPerOp
-		curRatio := nw.NsPerOp / ns.NsPerOp
-		if curRatio > baseRatio*opts.WidePairFactor {
-			regs = append(regs, Regression{
-				Benchmark: bw.Name,
-				Metric:    "ns/op vs " + scalar,
-				Base:      baseRatio,
-				New:       curRatio,
-				Reason: fmt.Sprintf("wide/scalar ratio %.3f vs baseline %.3f, limit %.2fx",
-					curRatio, baseRatio, opts.WidePairFactor),
 			})
 		}
 	}

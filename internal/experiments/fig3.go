@@ -20,10 +20,6 @@ type Fig3Config struct {
 	// MaxGates optionally subsamples the gate set to bound golden cost
 	// (0 = all gates within Depth).
 	MaxGates int
-	// LaneWords selects ASERTA's bit-parallel lane width (1, 4 or 8;
-	// other values snap down). The correlation is bit-identical at
-	// every width.
-	LaneWords int
 }
 
 // Fig3Point pairs the two unreliability estimates for one gate.
@@ -53,10 +49,9 @@ func Fig3(c *ckt.Circuit, lib *charlib.Library, cfg Fig3Config) (*Fig3Result, er
 		return nil, err
 	}
 	an, err := aserta.Analyze(c, lib, baseline, aserta.Config{
-		Vectors:   cfg.Vectors,
-		Seed:      cfg.Seed,
-		POLoad:    cfg.Golden.POLoad,
-		LaneWords: cfg.LaneWords,
+		Vectors: cfg.Vectors,
+		Seed:    cfg.Seed,
+		POLoad:  cfg.Golden.POLoad,
 	})
 	if err != nil {
 		return nil, err

@@ -39,10 +39,6 @@ type FrameTrace struct {
 // NWords returns the number of 64-bit words per signal column.
 func (tr *FrameTrace) NWords() int { return tr.nWords }
 
-// MaxFanin returns the widest combinational fanin in the frame — the
-// scratch size EvalFrameChunk needs.
-func (tr *FrameTrace) MaxFanin() int { return tr.maxFanin }
-
 // LastMask returns the valid-lane mask of the final word of every
 // column (all ones when N is a multiple of 64). Callers mutating
 // state columns must re-apply it so perturbations never leak into the
@@ -188,53 +184,5 @@ func (tr *FrameTrace) NextState(vals, dst []uint64) {
 	for fi, id := range c.DFFs() {
 		d := c.Gates[id].Fanin[0]
 		copy(dst[fi*nWords:(fi+1)*nWords], vals[d*nWords:(d+1)*nWords])
-	}
-}
-
-// EvalFrameChunk is EvalFrame restricted to cw consecutive vector
-// words starting at word k0: vals and state are chunk-width arenas
-// (flat gateID*cw and flopIndex*cw), while the trace's stored PI words
-// are read at their full-width offsets. cmask is the valid-vector mask
-// of the chunk's final word (LastMask when the chunk covers the run's
-// last word, all ones otherwise). Evaluating per chunk keeps the
-// work-arena footprint at cw words per gate regardless of the run
-// length — the cache-blocked inner loop of the wide sequential fault
-// chase. fanin is caller-provided scratch of at least MaxFanin words
-// (hoisted out so the per-frame call allocates nothing).
-func (tr *FrameTrace) EvalFrameChunk(vals []uint64, t int, state []uint64, k0, cw int, cmask uint64, fanin []uint64) {
-	c := tr.Circuit
-	nWords := tr.nWords
-	pi := tr.PI[t]
-	for i, id := range c.Inputs() {
-		copy(vals[id*cw:(id+1)*cw], pi[i*nWords+k0:i*nWords+k0+cw])
-	}
-	for fi, id := range c.DFFs() {
-		copy(vals[id*cw:(id+1)*cw], state[fi*cw:(fi+1)*cw])
-	}
-	in := fanin[:tr.maxFanin]
-	for _, id := range tr.order {
-		g := c.Gates[id]
-		if g.Type.IsSource() {
-			continue
-		}
-		w := vals[id*cw : (id+1)*cw]
-		fin := in[:len(g.Fanin)]
-		for k := 0; k < cw; k++ {
-			for fi, f := range g.Fanin {
-				fin[fi] = vals[f*cw+k]
-			}
-			w[k] = g.Type.EvalWord(fin)
-		}
-		w[cw-1] &= cmask
-	}
-}
-
-// NextStateChunk is NextState over chunk-width arenas (flat rows of cw
-// words).
-func (tr *FrameTrace) NextStateChunk(vals, dst []uint64, cw int) {
-	c := tr.Circuit
-	for fi, id := range c.DFFs() {
-		d := c.Gates[id].Fanin[0]
-		copy(dst[fi*cw:(fi+1)*cw], vals[d*cw:(d+1)*cw])
 	}
 }

@@ -38,24 +38,19 @@ const DefaultVectors = engine.DefaultVectors
 // fallback path.)
 var maxConeEntries = 1 << 25
 
-// maxScratchBytes bounds the combined per-worker sensitization
-// arenas of the wide-lane engine: on very large circuits the worker
-// count is reduced rather than letting parallelism multiply peak
-// memory past the budget. (The scalar engine uses the finer-grained
-// DefaultSensBudgetBytes chunking policy instead.)
-const maxScratchBytes = 1 << 30
-
 // DefaultSensBudgetBytes bounds the transient working set of one
-// scalar sensitization analysis: the base-value arena, the per-edge
-// side-input arena and every DP worker's scratch arena together. When
-// a circuit × vector-count combination would exceed it, the analysis
-// processes the vector set in chunks of 64-vector words through
-// recycled arenas — results are bit-identical (popcounts are summed
-// across chunks), only peak memory and a per-chunk cone re-walk
-// change. The default (2 GiB) keeps every ISCAS-class workload in a
-// single chunk; serd exposes it as -sens-mem-budget. It does not
-// count the returned Result (the Pij matrix is the analysis' output)
-// or the memoized cone arena (bounded separately by maxConeEntries).
+// sensitization analysis: the pre-drawn primary-input words, the
+// base-value arena, the per-edge side-input arena and every DP
+// worker's scratch arena together. When a circuit × vector-count
+// combination would exceed it, the analysis processes the vector set
+// in chunks of 64-vector words through recycled arenas — results are
+// bit-identical (popcounts are summed across chunks), only peak memory
+// and a per-chunk cone re-walk change. The default (2 GiB) keeps every
+// ISCAS-class workload in a single chunk; serd exposes it as
+// -sens-mem-budget. It does not count the returned Result (the Pij
+// matrix is the analysis' output), the memoized cone arena (bounded
+// separately by maxConeEntries) or the O(gates) bookkeeping (per-gate
+// counters and DP marks).
 var DefaultSensBudgetBytes = int64(2) << 30
 
 // minChunkWords is the smallest chunk width worth paying a cone
@@ -151,15 +146,10 @@ func AnalyzeWorkers(c *ckt.Circuit, nVectors int, rng *stats.RNG, workers int) (
 	return AnalyzeCompiled(cc, nVectors, rng, workers)
 }
 
-// sensKey memoizes Sensitization results on the compiled handle. The
-// lane width is part of the key even though results are bit-identical
-// across widths: a mixed-width workload must never block one width's
-// callers on another width's in-flight build, and the key documents
-// which engine produced the retained value.
+// sensKey memoizes Sensitization results on the compiled handle.
 type sensKey struct {
 	vectors int
 	seed    uint64
-	lanes   int
 }
 
 // conesKey memoizes the fanout-cone CSR arena on the compiled handle.
@@ -176,7 +166,7 @@ func Sensitization(cc *engine.CompiledCircuit, vectors int, seed uint64) (*Resul
 	if vectors <= 0 {
 		vectors = DefaultVectors
 	}
-	v, err := cc.Memo(sensKey{vectors, seed, 1}, func() (any, error) {
+	v, err := cc.Memo(sensKey{vectors, seed}, func() (any, error) {
 		return AnalyzeCompiled(cc, vectors, stats.NewRNG(seed), 0)
 	})
 	if err != nil {
@@ -197,13 +187,15 @@ func AnalyzeCompiled(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, w
 
 // AnalyzeCompiledBudget is AnalyzeCompiled with an explicit transient
 // memory budget in bytes (<= 0 means unbounded). The budget covers the
-// base-value arena, the per-edge side-input arena and all DP worker
-// scratch arenas; when they would exceed it, the vector set is
-// processed in chunks of 64-vector words through recycled arenas.
-// Because the bit-parallel DP is independent per 64-bit word and the
-// per-PO popcounts are integers summed exactly, results are
-// bit-identical to the unbounded run for every budget, worker count
-// and chunk width — only peak memory and speed change.
+// pre-drawn primary-input words, the base-value arena, the per-edge
+// side-input arena and all DP worker scratch arenas; when they would
+// exceed it, the vector set is processed in chunks of 64-vector words
+// through recycled arenas. Because the bit-parallel DP is independent
+// per 64-bit word and the per-PO popcounts are integers summed
+// exactly, results are bit-identical to the unbounded run for every
+// budget, worker count and chunk width — only peak memory and speed
+// change. This is the only sensitization kernel: every flow (exact,
+// Approx, sequential frames, the optimizer) runs through it.
 func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.RNG, workers int, budgetBytes int64) (*Result, error) {
 	c := cc.Circuit()
 	if nVectors <= 0 {
@@ -244,11 +236,12 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 		}
 	}
 
-	// Chunk policy: the recycled arenas cost (nGates+nEdges)*8 bytes
-	// per vector word plus nGates*8 per word for each DP worker's
-	// scratch. Shed workers first (a narrow chunk re-walks every cone
-	// per chunk, which is the more expensive regression), then narrow
-	// the chunk to fit.
+	// Chunk policy: the pre-drawn PI words stay resident for the whole
+	// run, and the recycled arenas share the rest of the budget at
+	// (nGates+nEdges)*8 bytes per vector word plus nGates*8 per word
+	// for each DP worker's scratch. Shed workers first (a narrow chunk
+	// re-walks every cone per chunk, which is the more expensive
+	// regression), then narrow the chunk to fit.
 	nw := par.Workers(workers)
 	if nw > len(sources) {
 		nw = len(sources)
@@ -258,11 +251,12 @@ func AnalyzeCompiledBudget(cc *engine.CompiledCircuit, nVectors int, rng *stats.
 	}
 	cw := nWords
 	if budgetBytes > 0 {
+		avail := budgetBytes - int64(len(piW))*8
 		perWord := int64(nGates+nEdges) * 8
 		perWorkerWord := int64(nGates) * 8
 		capFor := func(nw int) int64 {
 			if d := perWord + int64(nw)*perWorkerWord; d > 0 {
-				return budgetBytes / d
+				return avail / d
 			}
 			return int64(nWords)
 		}

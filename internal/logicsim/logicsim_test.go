@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/ckt"
+	"repro/internal/engine"
+	"repro/internal/gen"
 	"repro/internal/stats"
 )
 
@@ -260,4 +262,39 @@ func BenchmarkAnalyzeC17(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestSensitizationMemo checks the handle memo: a repeated
+// Sensitization at one (vectors, seed) is served from the first run,
+// a different seed gets its own entry, and the memoized statistics
+// equal a direct AnalyzeCompiled at that seed.
+func TestSensitizationMemo(t *testing.T) {
+	c, err := gen.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := engine.MustCompile(c)
+	r, err := Sensitization(cc, 1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Sensitization(cc, 1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != r {
+		t.Fatal("repeated Sensitization was not served from the memo")
+	}
+	other, err := Sensitization(cc, 1000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == r {
+		t.Fatal("different seeds share one memo entry")
+	}
+	want, err := AnalyzeCompiled(cc, 1000, stats.NewRNG(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, r, "memo")
 }

@@ -1,38 +1,61 @@
-// Wire-level tests for the bit-parallel lane and sampled-Approx
-// request knobs: lane widths must not change results over the wire,
-// the Approx block must round-trip with a sane interval, invalid
-// combinations must be rejected, and both modes must surface on
-// /metrics (JSON and Prometheus exposition alike).
+// Wire-level tests for the analysis request knobs: the deprecated
+// lane_words field must be accepted and ignored, the Approx block must
+// round-trip with a sane interval, invalid combinations must be
+// rejected, and Approx jobs must surface on /metrics (JSON and
+// Prometheus exposition alike).
 package serd
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"testing"
 
 	"repro/internal/promtext"
 	"repro/serclient"
 )
 
-func TestAnalyzeLaneWordsWire(t *testing.T) {
-	_, cl := rawTestServer(t, Config{Workers: 2})
-	ctx := context.Background()
+// elapsedRE matches the wall-clock elapsed_ms field, the one part of a
+// response body that legitimately varies between identical requests.
+var elapsedRE = regexp.MustCompile(`"elapsed_ms":[-+.0-9eE]+`)
 
-	want, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "c432", Vectors: 800, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{4, 8} {
-		got, err := cl.Analyze(ctx, serclient.AnalyzeRequest{Circuit: "c432", Vectors: 800, Seed: 3, LaneWords: w})
+// TestAnalyzeLaneWordsWire checks that older clients still sending
+// lane_words get exactly the response they would get without it, on
+// every endpoint that used to accept the field and on the sequential
+// flow.
+func TestAnalyzeLaneWordsWire(t *testing.T) {
+	url, _ := rawTestServer(t, Config{Workers: 2})
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.U != want.U {
-			t.Fatalf("lane_words=%d: U = %v, want %v", w, got.U, want.U)
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Approx != nil {
-			t.Fatalf("lane_words=%d: exact response carries approx block", w)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", path, body, resp.StatusCode, b)
+		}
+		return elapsedRE.ReplaceAll(b, []byte(`"elapsed_ms":0`))
+	}
+	for _, tc := range []struct{ path, fields string }{
+		{"/v1/analyze", `"circuit":"c432","vectors":800,"seed":3`},
+		{"/v1/susceptibility", `"circuit":"c432","vectors":800,"seed":3,"top":5`},
+		{"/v1/optimize", `"circuit":"c17","vectors":500,"seed":2,"iterations":2,"max_basis":4`},
+		{"/v1/analyze", `"circuit":"s27","cycles":4,"vectors":600,"seed":5`},
+	} {
+		want := post(tc.path, "{"+tc.fields+"}")
+		for _, w := range []int{1, 4, 8} {
+			got := post(tc.path, fmt.Sprintf(`{%s,"lane_words":%d}`, tc.fields, w))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s {%s} lane_words=%d:\n got %s\nwant %s", tc.path, tc.fields, w, got, want)
+			}
 		}
 	}
 }
@@ -46,7 +69,7 @@ func TestAnalyzeApproxWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := cl.Analyze(ctx, serclient.AnalyzeRequest{
-		Circuit: "c432", Seed: 3, LaneWords: 8,
+		Circuit: "c432", Seed: 3,
 		Approx: &serclient.ApproxRequest{RelErr: 0.05, BatchVectors: 1000},
 	})
 	if err != nil {
@@ -76,14 +99,14 @@ func TestAnalyzeApproxWire(t *testing.T) {
 		t.Fatal("sequential approx request accepted")
 	}
 
-	// Both non-default modes must be visible to operators: the JSON
-	// snapshot and the Prometheus exposition.
+	// Approx jobs must be visible to operators: the JSON snapshot and
+	// the Prometheus exposition.
 	m, err := cl.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WideLaneJobs == 0 || m.ApproxJobs == 0 {
-		t.Fatalf("mode counters not incremented: wide=%d approx=%d", m.WideLaneJobs, m.ApproxJobs)
+	if m.ApproxJobs == 0 {
+		t.Fatal("approx_jobs counter not incremented")
 	}
 	hr, err := http.Get(url + "/metrics?format=prometheus")
 	if err != nil {
@@ -95,10 +118,8 @@ func TestAnalyzeApproxWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	for _, name := range []string{"serd_wide_lane_jobs_total", "serd_approx_jobs_total"} {
-		fam := fams[name]
-		if fam == nil || len(fam.Samples) == 0 || fam.Samples[0].Value == 0 {
-			t.Fatalf("family %q missing or zero in exposition", name)
-		}
+	fam := fams["serd_approx_jobs_total"]
+	if fam == nil || len(fam.Samples) == 0 || fam.Samples[0].Value == 0 {
+		t.Fatal("family serd_approx_jobs_total missing or zero in exposition")
 	}
 }

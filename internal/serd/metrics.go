@@ -69,7 +69,6 @@ type metrics struct {
 	recovered     atomic.Int64
 	shed          atomic.Int64
 	journalErrors atomic.Int64
-	wideLaneJobs  atomic.Int64
 	approxJobs    atomic.Int64
 
 	mu       sync.Mutex
@@ -85,13 +84,9 @@ func newMetrics() *metrics {
 	}
 }
 
-// countModes tallies a job's simulation-path selections once it has
-// passed validation: a lane width above the 64-bit default, and the
-// sampled Approx mode.
-func (m *metrics) countModes(laneWords int, approx bool) {
-	if laneWords > 1 {
-		m.wideLaneJobs.Add(1)
-	}
+// countModes tallies a job's simulation-path selection once it has
+// passed validation: the sampled Approx mode.
+func (m *metrics) countModes(approx bool) {
 	if approx {
 		m.approxJobs.Add(1)
 	}
@@ -125,7 +120,6 @@ func (m *metrics) snapshot(queueDepth, jobsRunning, workers int, characterizatio
 		JobsRecovered:     m.recovered.Load(),
 		RequestsShed:      m.shed.Load(),
 		JournalErrors:     m.journalErrors.Load(),
-		WideLaneJobs:      m.wideLaneJobs.Load(),
 		ApproxJobs:        m.approxJobs.Load(),
 		LibCacheHits:      m.cacheHits.Load(),
 		Characterizations: characterizations,

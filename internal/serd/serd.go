@@ -623,24 +623,22 @@ func (s *Server) instrumented(timings bool, run func(ctx context.Context) (any, 
 // sequentialOptions and analysisOptions assemble the flow options the
 // analyze and susceptibility endpoints share, so a new knob cannot be
 // wired into one endpoint and silently missed in the other.
-func sequentialOptions(vectors int, seed uint64, poLoad float64, cycles int, initState []bool, laneWords int) ser.SequentialOptions {
+func sequentialOptions(vectors int, seed uint64, poLoad float64, cycles int, initState []bool) ser.SequentialOptions {
 	return ser.SequentialOptions{
 		Cycles:    cycles,
 		Vectors:   vectors,
 		Seed:      seed,
 		POLoad:    poLoad,
 		InitState: initState,
-		LaneWords: laneWords,
 	}
 }
 
-func analysisOptions(vectors int, seed uint64, poLoad float64, laneWords int, approx *serclient.ApproxRequest) ser.AnalysisOptions {
+func analysisOptions(vectors int, seed uint64, poLoad float64, approx *serclient.ApproxRequest) ser.AnalysisOptions {
 	return ser.AnalysisOptions{
-		Vectors:   vectors,
-		Seed:      seed,
-		POLoad:    poLoad,
-		LaneWords: laneWords,
-		Approx:    approxOptions(approx),
+		Vectors: vectors,
+		Seed:    seed,
+		POLoad:  poLoad,
+		Approx:  approxOptions(approx),
 	}
 }
 
@@ -680,7 +678,7 @@ func (s *Server) runAnalyze(h *ser.Compiled, name string, req serclient.AnalyzeR
 		resp := &serclient.AnalyzeResponse{Circuit: name}
 		if req.Cycles > 0 {
 			rep, err := s.sys.AnalyzeSequentialCompiledContext(ctx, h,
-				sequentialOptions(req.Vectors, req.Seed, req.POLoad, req.Cycles, req.InitState, req.LaneWords))
+				sequentialOptions(req.Vectors, req.Seed, req.POLoad, req.Cycles, req.InitState))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -691,7 +689,7 @@ func (s *Server) runAnalyze(h *ser.Compiled, name string, req serclient.AnalyzeR
 			})
 		} else {
 			rep, err := s.sys.AnalyzeCompiledContext(ctx, h,
-				analysisOptions(req.Vectors, req.Seed, req.POLoad, req.LaneWords, req.Approx))
+				analysisOptions(req.Vectors, req.Seed, req.POLoad, req.Approx))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -738,7 +736,7 @@ func (s *Server) runSusceptibility(h *ser.Compiled, name string, req serclient.S
 		var entries []ser.SusceptibilityEntry
 		if req.Cycles > 0 {
 			rep, err := s.sys.AnalyzeSequentialCompiledContext(ctx, h,
-				sequentialOptions(req.Vectors, req.Seed, req.POLoad, req.Cycles, req.InitState, req.LaneWords))
+				sequentialOptions(req.Vectors, req.Seed, req.POLoad, req.Cycles, req.InitState))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -747,7 +745,7 @@ func (s *Server) runSusceptibility(h *ser.Compiled, name string, req serclient.S
 			resp.Sequential = sequentialResult(rep)
 		} else {
 			rep, err := s.sys.AnalyzeCompiledContext(ctx, h,
-				analysisOptions(req.Vectors, req.Seed, req.POLoad, req.LaneWords, nil))
+				analysisOptions(req.Vectors, req.Seed, req.POLoad, nil))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -777,7 +775,6 @@ func (s *Server) runOptimize(h *ser.Compiled, name string, req serclient.Optimiz
 			Vectors:    req.Vectors,
 			Seed:       req.Seed,
 			Method:     req.Method,
-			LaneWords:  req.LaneWords,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -851,7 +848,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.countModes(req.LaneWords, req.Approx != nil)
+	s.met.countModes(req.Approx != nil)
 	var meta asyncMeta
 	if req.Async {
 		// Journal the request in canonical form: the netlist body is
@@ -879,7 +876,6 @@ func (s *Server) handleSusceptibility(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.countModes(req.LaneWords, false)
 	var meta asyncMeta
 	if req.Async {
 		jreq := req
@@ -932,7 +928,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.countModes(req.LaneWords, false)
 	var meta asyncMeta
 	if req.Async {
 		jreq := req
@@ -993,7 +988,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Analyze[i].Error = err.Error()
 			continue
 		}
-		s.met.countModes(ar.LaneWords, ar.Approx != nil)
+		s.met.countModes(ar.Approx != nil)
 		j, err := s.submit("analyze", r.Context(), true, s.runAnalyze(ld.h, ld.display, ar))
 		if err != nil {
 			resp.Analyze[i].Error = err.Error()
@@ -1015,7 +1010,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Optimize[i].Error = err.Error()
 			continue
 		}
-		s.met.countModes(or.LaneWords, false)
 		j, err := s.submit("optimize", r.Context(), true, s.runOptimize(ld.h, ld.display, or))
 		if err != nil {
 			resp.Optimize[i].Error = err.Error()
@@ -1038,7 +1032,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Susceptibility[i].Error = err.Error()
 			continue
 		}
-		s.met.countModes(sr.LaneWords, false)
 		j, err := s.submit("susceptibility", r.Context(), true, s.runSusceptibility(ld.h, ld.display, sr))
 		if err != nil {
 			resp.Susceptibility[i].Error = err.Error()

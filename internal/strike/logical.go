@@ -84,102 +84,3 @@ func equalWords(a, b []uint64) bool {
 	}
 	return true
 }
-
-// LogicalPropagateLanes is LogicalPropagate at an explicit lane width:
-// each flop's fault chase runs chunk by chunk over laneWords-word
-// blocks of the vector run, so the per-worker frame arenas stay
-// laneWords words per gate instead of the full ⌈vectors/64⌉. E_f is
-// bit-identical for every width: error counts are integer popcounts
-// summed over the same words, and a chunk whose faulty state rejoins
-// the fault-free trace contributes zero errors from then on — exactly
-// what the full-width early exit counts for those words. Chunked runs
-// prune at chunk granularity (at least as often as full-width runs),
-// so the wide chase can also terminate earlier. Width 1 is the
-// historical path.
-func LogicalPropagateLanes(ctx context.Context, cc *engine.CompiledCircuit, cycles, vectors int, rng *stats.RNG, initState []bool, workers, laneWords int) ([]float64, error) {
-	W := logicsim.NormalizeLaneWords(laneWords)
-	if W == 1 {
-		return LogicalPropagate(ctx, cc, cycles, vectors, rng, initState, workers)
-	}
-	c := cc.Circuit()
-	flops := c.DFFs()
-	nFlops := len(flops)
-	epf := make([]float64, nFlops)
-	if nFlops == 0 {
-		return epf, nil
-	}
-	tr, err := logicsim.SimulateFramesCompiled(cc, cycles, vectors, rng, initState)
-	if err != nil {
-		return nil, err
-	}
-	nW := tr.NWords()
-	lastMask := tr.LastMask()
-	nGates := len(c.Gates)
-	pos := c.Outputs()
-	nChunks := (nW + W - 1) / W
-	par.ForChunks(nFlops, workers, 1, func(lo, hi int) {
-		vals := make([]uint64, nGates*W)
-		st := make([]uint64, nFlops*W)
-		next := make([]uint64, nFlops*W)
-		fanin := make([]uint64, tr.MaxFanin())
-		for fi := lo; fi < hi; fi++ {
-			if ctx.Err() != nil {
-				return // the post-pool ctx check reports the cancellation
-			}
-			errs := 0
-			for chunk := 0; chunk < nChunks; chunk++ {
-				k0 := chunk * W
-				cw := W
-				if k0+cw > nW {
-					cw = nW - k0
-				}
-				cmask := ^uint64(0)
-				if k0+cw == nW {
-					cmask = lastMask
-				}
-				st := st[:nFlops*cw]
-				next := next[:nFlops*cw]
-				vals := vals[:nGates*cw]
-				for f2 := 0; f2 < nFlops; f2++ {
-					copy(st[f2*cw:(f2+1)*cw], tr.State[0][f2*nW+k0:f2*nW+k0+cw])
-				}
-				row := st[fi*cw : (fi+1)*cw]
-				for k := range row {
-					row[k] = ^row[k]
-				}
-				row[cw-1] &= cmask
-				for t := 0; t < tr.Cycles; t++ {
-					if equalChunk(st, tr.State[t], nFlops, nW, k0, cw) {
-						break // this chunk's fault died: rejoined the trace
-					}
-					tr.EvalFrameChunk(vals, t, st, k0, cw, cmask, fanin)
-					for p, poID := range pos {
-						for k := 0; k < cw; k++ {
-							errs += bits.OnesCount64(vals[poID*cw+k] ^ tr.PO[t][p*nW+k0+k])
-						}
-					}
-					tr.NextStateChunk(vals, next, cw)
-					st, next = next, st
-				}
-			}
-			epf[fi] = float64(errs) / float64(tr.N)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return epf, nil
-}
-
-// equalChunk reports whether the chunk-width state equals the same
-// chunk of a full-width reference state.
-func equalChunk(st, ref []uint64, nFlops, nW, k0, cw int) bool {
-	for f := 0; f < nFlops; f++ {
-		for k := 0; k < cw; k++ {
-			if st[f*cw+k] != ref[f*nW+k0+k] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -38,10 +38,11 @@ type AnalyzeRequest struct {
 	// fields are wall-clock and vary run to run, so bit-identity
 	// comparisons should leave this unset.
 	Timings bool `json:"timings,omitempty"`
-	// LaneWords selects the bit-parallel simulation lane width: 1
-	// (64-bit, the default), 4 (256-bit) or 8 (512-bit); other values
-	// snap down. Results are bit-identical at every width, so this is
-	// purely a performance knob.
+	// LaneWords once selected a bit-parallel lane width; there is one
+	// simulation kernel now.
+	//
+	// Deprecated: accepted and ignored, so older clients that still
+	// send lane_words keep working.
 	LaneWords int `json:"lane_words,omitempty"`
 	// Approx opts into the bounded-error sampled analysis instead of
 	// the exact fixed-vector run (combinational only; rejected when
@@ -148,8 +149,7 @@ type SusceptibilityRequest struct {
 	Async     bool   `json:"async,omitempty"`
 	// Timings asks for the per-stage breakdown (see AnalyzeRequest).
 	Timings bool `json:"timings,omitempty"`
-	// LaneWords selects the bit-parallel lane width (see
-	// AnalyzeRequest); the ranking is bit-identical at every width.
+	// Deprecated: accepted and ignored (see AnalyzeRequest.LaneWords).
 	LaneWords int `json:"lane_words,omitempty"`
 }
 
@@ -199,9 +199,7 @@ type OptimizeRequest struct {
 	Async  bool   `json:"async,omitempty"`
 	// Timings asks for the per-stage breakdown (see AnalyzeRequest).
 	Timings bool `json:"timings,omitempty"`
-	// LaneWords selects the bit-parallel lane width (see
-	// AnalyzeRequest); the optimization is bit-identical at every
-	// width.
+	// Deprecated: accepted and ignored (see AnalyzeRequest.LaneWords).
 	LaneWords int `json:"lane_words,omitempty"`
 }
 
@@ -436,13 +434,11 @@ type MetricsResponse struct {
 	// was already accepted (submission-time failures reject the
 	// request instead).
 	JournalErrors int64 `json:"journal_errors"`
-	// WideLaneJobs counts accepted analysis-family submissions that
-	// requested a bit-parallel lane width above the 64-bit default;
-	// ApproxJobs those that opted into the sampled Approx mode. Both
-	// count requests, not batches, so operators can see how much
-	// traffic exercises the non-default simulation paths.
-	WideLaneJobs int64 `json:"wide_lane_jobs"`
-	ApproxJobs   int64 `json:"approx_jobs"`
+	// ApproxJobs counts accepted analyze submissions that opted into
+	// the sampled Approx mode. It counts requests, not batches, so
+	// operators can see how much traffic exercises the non-default
+	// simulation path.
+	ApproxJobs int64 `json:"approx_jobs"`
 	// Characterizations counts cell-class characterizations executed by
 	// the shared library (cache misses); LibCacheHits counts jobs that
 	// ran entirely against already-characterized tables.
