@@ -17,7 +17,8 @@
 // ASERTA is the combinational configuration of the shared
 // strike-propagation pipeline (internal/strike): EnumerateSources →
 // ElectricalFilter → Reduce, with no flop-capture window stage and the
-// optimizer's incremental re-reduction exposed through RecomputeU.
+// optimizer's incremental re-reduction exposed through RecomputeU and
+// Reanalyze.
 package aserta
 
 import (
@@ -65,14 +66,16 @@ type Config struct {
 	// once per circuit and shares them across every cost evaluation.
 	PrecomputedSens *logicsim.Result
 	// FullRecomputeEvery bounds incremental drift: every N-th
-	// RecomputeU call performs an exact full re-evaluation instead of
-	// the delta propagation (default 64; negative disables the
+	// RecomputeU call returns the exact netlist-order sum
+	// (bit-identical to RecomputeUFull) instead of the baseline U plus
+	// the changed contributions (default 64; negative disables the
 	// cadence).
 	FullRecomputeEvery int
 	// Lean skips retaining the per-analysis WS/Wij arenas: the
 	// electrical pass runs in pooled scratch that is returned when the
-	// analysis completes, so a serving tier's warm path stops paying a
-	// ~nGates·nPOs·K allocation (tens of MB on c7552) per request.
+	// analysis completes, so a caller that needs only U and Ui stops
+	// paying a ~nGates·nPOs·K allocation (tens of MB on c7552) per
+	// analysis. Off unless set; the Approx batches set it.
 	// U and Ui are bit-identical to a full analysis; Analysis.WS and
 	// Analysis.Wij are nil, SpectrumU is unavailable, and RecomputeU
 	// falls back to an exact full re-evaluation per call (no
@@ -343,11 +346,37 @@ func (a *Analysis) uiOf(i int, wij []float64) float64 {
 // re-propagated, with unaffected rows served from the baseline arena
 // (strike.Delta). The delta evaluation always starts from the pristine
 // Analyze baseline, so error cannot accumulate across calls; as a
-// belt-and-braces bound, every Config.FullRecomputeEvery-th call
-// performs an exact full re-evaluation (RecomputeUFull) instead. Not
-// safe for concurrent use on one Analysis (shared scratch arenas).
+// belt-and-braces bound, every Config.FullRecomputeEvery-th call (and
+// any call affecting more than half the gates) returns the exact
+// RecomputeUFull value instead. Not safe for concurrent use on one
+// Analysis (shared scratch arenas).
 func (a *Analysis) RecomputeU(lib *charlib.Library, delays []float64) (float64, error) {
 	return a.delta.Recompute(delays, a.Config.FullRecomputeEvery)
+}
+
+// Reanalyze scores an alternative cell assignment against this
+// analysis as the baseline and returns its per-gate contributions and
+// circuit total, bit-identical to AnalyzeCompiled's Ui and U for the
+// same cells and Config. Only what the new cells changed is redone
+// (strike.Delta.Reanalyze): the rows their changed delays reach, the
+// step (iv) interpolation of changed generated widths, and the Eq. 3
+// contribution of every gate whose row or flux weight moved. This is
+// SERTOPT's candidate cost oracle. It shares RecomputeU's scratch and
+// is likewise not safe for concurrent use on one Analysis.
+func (a *Analysis) Reanalyze(lib *charlib.Library, cells Assignment) ([]float64, float64, error) {
+	src, err := strike.EnumerateSources(a.cc, lib, cells, a.Config.POLoad)
+	if err != nil {
+		return nil, 0, err
+	}
+	clock := a.Config.ClockPeriod
+	reflux := make([]bool, len(src.Flux))
+	for i, f := range src.Flux {
+		reflux[i] = f != a.Flux[i]
+	}
+	ui, u := a.delta.Reanalyze(src.Delays, src.GenWidth, func(i int, wij []float64) float64 {
+		return strike.GateU(src.Flux[i], wij, clock)
+	}, reflux)
+	return ui, u, nil
 }
 
 // RecomputeUFull is RecomputeU without the incremental shortcut: the

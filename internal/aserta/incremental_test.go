@@ -87,25 +87,58 @@ func TestRecomputeUIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestRecomputeUFullCadence forces the periodic exact-recompute path
-// and checks it agrees with the incremental result.
+// TestRecomputeUFullCadence forces both triggers of the exact result
+// — the call cadence and a perturbation affecting more than half the
+// gates — and requires each to equal RecomputeUFull bit for bit, and
+// the cadence value to agree with the delta sum of the same probe.
 func TestRecomputeUFullCadence(t *testing.T) {
-	c := gen.C17()
+	c, err := gen.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
 	lib := charlib.NewLibrary(devmodel.Tech70nm(), charlib.CoarseGrid())
 	cells := NominalAssignment(c, lib, 2)
 	an, err := Analyze(c, lib, cells, Config{Vectors: 1000, Seed: 3, FullRecomputeEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact := func(label string, d []float64) float64 {
+		t.Helper()
+		got, err := an.RecomputeU(lib, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := an.RecomputeUFull(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: RecomputeU = %.17g, RecomputeUFull = %.17g", label, got, want)
+		}
+		return got
+	}
+
+	// Cadence 1, gates whose fanin cones (the gates their delays
+	// affect) stay within half the circuit, so only the cadence selects
+	// the exact sum.
+	var probes []int
+	for _, g := range c.Gates {
+		if n := faninConeSize(c, g.ID); !g.Type.IsSource() && n >= 10 && 2*n <= len(c.Gates) {
+			probes = append(probes, g.ID)
+		}
+	}
+	if len(probes) < 10 {
+		t.Fatalf("only %d gates have a fanin cone of 10 gates to half the circuit", len(probes))
+	}
 	d := append([]float64(nil), an.Delays...)
-	for i := range d {
-		d[i] *= 1.1
+	for _, id := range probes {
+		d[id] *= 1.3
+		exact("cadence", d)
+		d[id] = an.Delays[id]
 	}
-	// Cadence 1: every call takes the full path.
-	uFullPath, err := an.RecomputeU(lib, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The exact sum agrees with the delta sum of the same probe.
+	d[probes[0]] *= 1.3
+	uFullPath := exact("cadence", d)
 	an.Config.FullRecomputeEvery = -1 // cadence disabled: delta path
 	uIncPath, err := an.RecomputeU(lib, d)
 	if err != nil {
@@ -114,6 +147,28 @@ func TestRecomputeUFullCadence(t *testing.T) {
 	if math.Abs(uFullPath-uIncPath) > 1e-12*math.Max(uFullPath, 1) {
 		t.Errorf("cadence full path U = %.17g, incremental U = %.17g", uFullPath, uIncPath)
 	}
+
+	// Cadence off, every delay moved: the more-than-half rule selects
+	// the exact sum.
+	for i := range d {
+		d[i] = 1.1 * an.Delays[i]
+	}
+	exact("more than half affected", d)
+}
+
+// faninConeSize counts the gates with a path to gate id, excluding id.
+func faninConeSize(c *ckt.Circuit, id int) int {
+	seen := map[int]bool{}
+	stack := append([]int(nil), c.Gates[id].Fanin...)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !seen[i] {
+			seen[i] = true
+			stack = append(stack, c.Gates[i].Fanin...)
+		}
+	}
+	return len(seen)
 }
 
 // TestRecomputeUIncrementalPOWithFanout covers the unusual-netlist

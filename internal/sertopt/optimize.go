@@ -158,8 +158,9 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 	// handle's memo replaces the old private PrecomputedSens plumbing —
 	// the embedded ASERTA analyses below resolve the same (vectors,
 	// seed) entry. The optimizer is the incremental configuration of
-	// the shared strike pipeline: gradient seeding re-enters it through
-	// RecomputeU (strike.Delta), re-reducing only affected fanin cones.
+	// the shared strike pipeline: gradient seeding (RecomputeU) and
+	// candidate scoring (Reanalyze) both re-enter it through
+	// strike.Delta, re-reducing only affected fanin cones.
 	sens, err := logicsim.Sensitization(cc, opts.Vectors, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -249,7 +250,10 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		if err != nil {
 			return nil, err
 		}
-		an, err := aserta.AnalyzeCompiled(cc, lib, cells, acfg)
+		// Scored against the baseline analysis, re-propagating only the
+		// cones and PO columns these cells changed; U is bit-identical
+		// to a full AnalyzeCompiled of the cells.
+		_, u, err := res.BaseAnalysis.Reanalyze(lib, cells)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +261,7 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		if err != nil {
 			return nil, err
 		}
-		return &evalOut{cells: cells, an: an, m: m, c: cost(m, an.U)}, nil
+		return &evalOut{cells: cells, m: m, c: cost(m, u)}, nil
 	}
 
 	theta := make([]float64, len(basis))
@@ -297,22 +301,25 @@ func OptimizeCompiled(cc *engine.CompiledCircuit, lib *charlib.Library, opts Opt
 		}
 	}
 
-	var bestTheta = append([]float64(nil), theta...)
 	rng := stats.NewRNG(opts.Seed + 0x5e27097)
 	switch opts.Method {
 	case "sqp":
-		best, bestTheta, err = optimizeSQP(bestTheta, best, evalTheta, opts, &res.History)
+		best, err = optimizeSQP(theta, best, evalTheta, opts, &res.History)
 	case "anneal":
-		best, bestTheta, err = optimizeAnneal(bestTheta, best, evalTheta, opts, rng, &res.History)
+		best, err = optimizeAnneal(theta, best, evalTheta, opts, rng, &res.History)
 	default:
 		return nil, fmt.Errorf("sertopt: unknown method %q", opts.Method)
 	}
 	if err != nil {
 		return nil, err
 	}
-	_ = bestTheta
+	// Only the winner is analyzed in full, so OptAnalysis carries the
+	// WS/Wij tables the candidate scoring never materializes.
+	res.OptAnalysis, err = aserta.AnalyzeCompiled(cc, lib, best.cells, acfg)
+	if err != nil {
+		return nil, err
+	}
 	res.Optimized = best.cells
-	res.OptAnalysis = best.an
 	res.OptMetrics = best.m
 	res.Cost = best.c
 	return res, nil
@@ -330,14 +337,16 @@ func gradientSeed(cc *engine.CompiledCircuit, lib *charlib.Library, topo *Topolo
 	depth := cc.DepthFromPO()
 	u0 := base.U
 	grad := make([]float64, len(topo.GateOf))
+	// One probe buffer: each probe bumps one gate and restores it.
+	d := append([]float64(nil), d0...)
 	any := false
 	for col, id := range topo.GateOf {
 		if depth[id] < 0 || depth[id] > sensDepth {
 			continue
 		}
-		d := append([]float64(nil), d0...)
 		d[id] += h
 		u, err := base.RecomputeU(lib, d)
+		d[id] = d0[id]
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +397,6 @@ func gradientSeed(cc *engine.CompiledCircuit, lib *charlib.Library, topo *Topolo
 // evalOut bundles one cost evaluation's artifacts.
 type evalOut struct {
 	cells aserta.Assignment
-	an    *aserta.Analysis
 	m     Metrics
 	c     float64
 }
@@ -400,7 +408,7 @@ type evalFn func([]float64) (*evalOut, error)
 // respect the timing constraint by construction, and a backtracking
 // line search provides the damping an SQP trust region would. The
 // paper used MATLAB's SQP; §4 explicitly allows other optimizers.
-func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, history *[]float64) (*evalOut, []float64, error) {
+func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, history *[]float64) (*evalOut, error) {
 	step := opts.StepInit
 	// The discrete cell menu makes the cost piecewise constant, so the
 	// difference step must be large enough to flip at least some cell
@@ -418,7 +426,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 			out, err := eval(theta)
 			theta[k] -= h
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			grad[k] = (out.c - best.c) / h
 			gnorm += grad[k] * grad[k]
@@ -432,7 +440,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 				matrix.AddScaled(cand, -step/gnorm, grad)
 				out, err := eval(cand)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if out.c < best.c {
 					best = out
@@ -456,7 +464,7 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 					cand[k] += sign * 2 * sweep
 					out, err := eval(cand)
 					if err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 					if out.c < best.c {
 						best = out
@@ -480,16 +488,15 @@ func optimizeSQP(theta []float64, best *evalOut, eval evalFn, opts Options, hist
 			break
 		}
 	}
-	return best, theta, nil
+	return best, nil
 }
 
 // optimizeAnneal is the simulated-annealing alternative mentioned in
 // §4: coordinate-wise Gaussian perturbations accepted by the
 // Metropolis criterion under a geometric cooling schedule.
-func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, rng *stats.RNG, history *[]float64) (*evalOut, []float64, error) {
+func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, rng *stats.RNG, history *[]float64) (*evalOut, error) {
 	cur := best
 	curTheta := append([]float64(nil), theta...)
-	bestTheta := append([]float64(nil), theta...)
 	// Temperature scaled to the size of cost improvements actually
 	// seen on the quantized landscape (~1% of cost), not to the cost
 	// itself — a hotter schedule random-walks without ever locking in.
@@ -497,7 +504,7 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 	cooling := 0.75
 	movesPerIter := 2 * len(theta)
 	if movesPerIter == 0 {
-		return best, theta, nil
+		return best, nil
 	}
 	for iter := 0; iter < opts.Iterations; iter++ {
 		for mv := 0; mv < movesPerIter; mv++ {
@@ -506,7 +513,7 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 			cand[k] += rng.NormFloat64() * opts.StepInit
 			out, err := eval(cand)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			accept := out.c < cur.c
 			if !accept && temp > 0 {
@@ -517,14 +524,13 @@ func optimizeAnneal(theta []float64, best *evalOut, eval evalFn, opts Options, r
 				curTheta = cand
 				if out.c < best.c {
 					best = out
-					bestTheta = append([]float64(nil), cand...)
 					*history = append(*history, out.c)
 				}
 			}
 		}
 		temp *= cooling
 	}
-	return best, bestTheta, nil
+	return best, nil
 }
 
 func sqrtf(x float64) float64 { return math.Sqrt(x) }

@@ -341,15 +341,16 @@ func (p *Propagator) Run(delays, wsDst, wijDst []float64) {
 type GateReducer func(i int, wij []float64) float64
 
 // Delta is the incremental re-reduce configuration of the pipeline:
-// re-evaluating the electrical pass under an alternative delay vector,
-// re-propagating only the fanin cones of gates whose delays differ
-// from the analysis baseline, with unaffected rows served from the
-// pristine baseline arena. This is the optimizer's cheap
-// delay-sensitivity oracle. The delta evaluation always starts from
-// the baseline, so error cannot accumulate across calls; as a
-// belt-and-braces bound, every fullEvery-th call performs an exact
-// full re-evaluation instead. Not safe for concurrent use (shared
-// scratch arenas, including the Propagator's attenuation table).
+// re-evaluating the electrical pass under an alternative delay vector
+// (Recompute, the gradient probe) or a whole alternative source set
+// (Reanalyze, the optimizer's candidate cost). Both share one walk that
+// re-propagates only the fanin cones of gates whose delays differ from
+// the analysis baseline, and in those cones only the PO columns a
+// changed gate is sensitized to, with every other row served from the
+// pristine baseline arena. The walk always starts from the baseline,
+// so error cannot accumulate across calls. Not safe for concurrent use
+// (shared scratch arenas, including the Propagator's attenuation
+// table).
 type Delta struct {
 	p *Propagator
 	// Baseline state (owned by the caller, read-only here).
@@ -359,12 +360,16 @@ type Delta struct {
 	baseU           float64
 	reduce          GateReducer
 
-	// Per-call scratch: incremental WS/Wij arenas, the
-	// affected/changed sets and the attenuation dirty-row bookkeeping.
+	// Per-call scratch: incremental WS/Wij arenas, the affected/changed
+	// sets, the support columns (cols, as [lo, hi) runs in runs) and
+	// the attenuation dirty-row bookkeeping.
 	incrWS, incrWij []float64
 	affected        []bool
 	changed         []bool
 	changedIDs      []int
+	cols            []bool
+	runs            []int
+	accK            []float64
 	// attIsBase/attDirty track which attenuation rows correspond to
 	// the baseline delays, so delta calls refresh only changed rows.
 	attIsBase bool
@@ -396,19 +401,128 @@ func (d *Delta) ensureScratch() {
 		K := len(d.p.samples)
 		d.incrWS = make([]float64, nGates*nPOs*K)
 		d.incrWij = make([]float64, nGates*nPOs)
+		d.changed = make([]bool, nGates)
+		d.affected = make([]bool, nGates)
+		d.cols = make([]bool, nPOs)
+		d.accK = make([]float64, K)
+	}
+}
+
+// markChanged records which gates' delays differ from the baseline and
+// returns how many do.
+func (d *Delta) markChanged(delays []float64) int {
+	changedIDs := d.changedIDs[:0]
+	for _, g := range d.p.c.Gates {
+		ch := !g.Type.IsSource() && delays[g.ID] != d.baseDelays[g.ID]
+		d.changed[g.ID] = ch
+		if ch {
+			changedIDs = append(changedIDs, g.ID)
+		}
+	}
+	d.changedIDs = changedIDs
+	return len(changedIDs)
+}
+
+// markAffected computes affected(i) = some successor's delay changed,
+// or some successor is itself affected, in one reverse-topological
+// pass, and returns how many gates are affected. Terminal PO gates are
+// never affected (no successors): their only row is the fixed sample
+// ladder regardless of delays, so they serve baseline reads. A
+// fanout-bearing PO (a sequential frame's D-pin tap) has
+// delay-dependent non-own columns and propagates normally.
+func (d *Delta) markAffected() int {
+	n := 0
+	for _, i := range d.p.rorder {
+		aff := false
+		for _, s := range d.p.c.Gates[i].Fanout {
+			if d.changed[s] || d.affected[s] {
+				aff = true
+				break
+			}
+		}
+		d.affected[i] = aff
+		if aff {
+			n++
+		}
+	}
+	return n
+}
+
+// propagate re-evaluates, into the incremental arenas, the rows the
+// changed delays reach: the affected gates' rows in the PO columns
+// some changed gate x is sensitized to. A predecessor reads row (x, j)
+// only when P_xj ≠ 0, so no other column can move, and an affected
+// gate's other columns keep the baseline's W_ij. Rows are computed by
+// the same kernel, in the same order, as a full Run, so they are
+// bit-identical to it.
+func (d *Delta) propagate(delays []float64) {
+	p := d.p
+	nPOs := p.nPOs
+	// Refresh only the attenuation rows that differ from the baseline
+	// table: restore rows dirtied by the previous delta call, then
+	// prepare the rows of this call's changed gates. After a full pass
+	// at foreign delays the whole table is rebuilt once.
+	if !d.attIsBase {
+		p.prepAtten(d.baseDelays)
+		d.attIsBase = true
+		d.attDirty = d.attDirty[:0]
+	}
+	for _, id := range d.attDirty {
+		p.prepAttenGate(id, d.baseDelays[id])
+	}
+	d.attDirty = d.attDirty[:0]
+	for _, id := range d.changedIDs {
+		p.prepAttenGate(id, delays[id])
+		d.attDirty = append(d.attDirty, id)
+	}
+	for j := range d.cols {
+		d.cols[j] = false
+	}
+	for _, x := range d.changedIDs {
+		for j, pxj := range p.sens.Pij[x] {
+			if pxj != 0 {
+				d.cols[j] = true
+			}
+		}
+	}
+	runs := d.runs[:0]
+	for j := 0; j < nPOs; j++ {
+		if d.cols[j] {
+			lo := j
+			for j < nPOs && d.cols[j] {
+				j++
+			}
+			runs = append(runs, lo, j)
+		}
+	}
+	d.runs = runs
+	for _, i := range p.rorder {
+		// Source pseudo-gates carry no rows at all. (Terminal POs never
+		// appear here — they have no successors, so they are never
+		// affected; fanout-bearing POs recompute their non-own columns
+		// like any internal gate.)
+		if !d.affected[i] || p.c.Gates[i].Type.IsSource() {
+			continue
+		}
+		copy(d.incrWij[i*nPOs:(i+1)*nPOs], d.baseWij[i*nPOs:(i+1)*nPOs])
+		for r := 0; r < len(runs); r += 2 {
+			p.computeGateColumns(i, runs[r], runs[r+1], d.accK, d.incrWS, d.incrWij, d.baseWS, d.affected)
+		}
 	}
 }
 
 // Recompute re-evaluates the electrical pass with an alternative
 // per-gate delay vector, keeping generated widths and sensitization
 // statistics fixed, and returns the resulting circuit unreliability.
-// Only the fanin cones of gates whose delays differ from the baseline
-// are re-propagated. fullEvery > 0 forces an exact full re-evaluation
-// every fullEvery-th call (negative disables the cadence).
+// Only the rows the changed delays reach are re-propagated. The
+// result is the baseline U plus the changed gates' deltas, except on
+// every fullEvery-th call (negative disables the cadence) and when
+// more than half the gates are affected: then it is the exact
+// netlist-order sum RecomputeFull returns, bit for bit, formed from
+// the re-propagated contributions and the baseline's.
 func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 	p := d.p
 	c := p.c
-	nGates := len(c.Gates)
 	if d.baseWS == nil {
 		// Lean baseline (the analysis did not retain its WS arena):
 		// there is nothing to serve unaffected rows from, so every
@@ -426,97 +540,121 @@ func (d *Delta) Recompute(delays []float64, fullEvery int) (float64, error) {
 		}
 		return d.RecomputeFull(delays)
 	}
-	if d.changed == nil {
-		d.changed = make([]bool, nGates)
-		d.affected = make([]bool, nGates)
-	}
-	changedIDs := d.changedIDs[:0]
-	for _, g := range c.Gates {
-		ch := !g.Type.IsSource() && delays[g.ID] != d.baseDelays[g.ID]
-		d.changed[g.ID] = ch
-		if ch {
-			changedIDs = append(changedIDs, g.ID)
-		}
-	}
-	d.changedIDs = changedIDs
-	if len(changedIDs) == 0 {
+	d.ensureScratch()
+	if d.markChanged(delays) == 0 {
 		return d.baseU, nil
 	}
 	d.evals++
 	full := fullEvery > 0 && d.evals%fullEvery == 0
-	nAffected := 0
-	if !full {
-		// affected(i) = some successor's delay changed, or some
-		// successor is itself affected; one reverse-topological pass.
-		// Terminal PO gates are never affected (no successors): their
-		// only row is the fixed sample ladder regardless of delays, so
-		// they serve baseline reads. A fanout-bearing PO (a sequential
-		// frame's D-pin tap) has delay-dependent non-own columns and
-		// propagates normally.
-		for _, i := range p.rorder {
-			aff := false
-			for _, s := range c.Gates[i].Fanout {
-				if d.changed[s] || d.affected[s] {
-					aff = true
-					break
-				}
-			}
-			d.affected[i] = aff
-			if aff {
-				nAffected++
-			}
-		}
-		// When most of the circuit moved, the parallel full pass is
-		// cheaper than the serial delta walk.
-		if 2*nAffected > nGates {
-			full = true
-		}
+	if 2*d.markAffected() > len(c.Gates) {
+		full = true
 	}
-	if full {
-		return d.RecomputeFull(delays)
-	}
+	d.propagate(delays)
 	nPOs := p.nPOs
-	K := len(p.samples)
-	d.ensureScratch()
-	// Refresh only the attenuation rows that differ from the baseline
-	// table: restore rows dirtied by the previous delta call, then
-	// prepare the rows of this call's changed gates. After a full pass
-	// at foreign delays the whole table is rebuilt once.
-	if !d.attIsBase {
-		p.prepAtten(d.baseDelays)
-		d.attIsBase = true
-		d.attDirty = d.attDirty[:0]
+	if full {
+		u := 0.0
+		for _, g := range c.Gates {
+			switch {
+			case g.Type.IsSource():
+			case d.affected[g.ID]:
+				u += d.reduce(g.ID, d.incrWij[g.ID*nPOs:(g.ID+1)*nPOs])
+			default:
+				u += d.baseUi[g.ID]
+			}
+		}
+		return u, nil
 	}
-	for _, id := range d.attDirty {
-		p.prepAttenGate(id, d.baseDelays[id])
-	}
-	d.attDirty = d.attDirty[:0]
-	for _, id := range changedIDs {
-		p.prepAttenGate(id, delays[id])
-		d.attDirty = append(d.attDirty, id)
-	}
-	accK := make([]float64, K)
 	u := d.baseU
 	for _, i := range p.rorder {
-		if !d.affected[i] {
-			continue
+		if d.affected[i] && !c.Gates[i].Type.IsSource() {
+			u += d.reduce(i, d.incrWij[i*nPOs:(i+1)*nPOs]) - d.baseUi[i]
 		}
-		g := c.Gates[i]
-		if g.Type.IsSource() {
-			// Source pseudo-gates carry no rows at all. (Terminal POs
-			// never appear here — they have no successors, so they are
-			// never affected; fanout-bearing POs recompute their
-			// non-own columns like any internal gate.)
-			continue
-		}
-		wij := d.incrWij[i*nPOs : (i+1)*nPOs]
-		for j := range wij {
-			wij[j] = 0
-		}
-		p.computeGateColumns(i, 0, nPOs, accK, d.incrWS, d.incrWij, d.baseWS, d.affected)
-		u += d.reduce(i, wij) - d.baseUi[i]
 	}
 	return u, nil
+}
+
+// Reanalyze scores a whole alternative source set against the
+// baseline: delays and generated widths may both differ from it, and
+// reduce is the candidate's reducer; rereduce marks further gates
+// whose reducer output differs for an unchanged row (a new flux
+// weight). It returns every gate's contribution and their
+// netlist-order sum, bit-identical to a full Run at
+// (delays, genWidth) reduced by reduce: the walk re-propagates the rows
+// the changed delays reach, step (iv) is redone for gates whose
+// generated width changed, and every other gate keeps the baseline's
+// contribution. When more than half the gates are affected (or the
+// baseline is Lean) a full pass runs instead. The Recompute cadence
+// counter is left alone.
+func (d *Delta) Reanalyze(delays, genWidth []float64, reduce GateReducer, rereduce []bool) (ui []float64, u float64) {
+	p := d.p
+	c := p.c
+	nPOs := p.nPOs
+	d.ensureScratch()
+	d.markChanged(delays)
+	full := d.baseWS == nil || 2*d.markAffected() > len(c.Gates)
+	if full {
+		p.Run(delays, d.incrWS, d.incrWij)
+		d.attIsBase = false // the attenuation table now reflects foreign delays
+	} else {
+		d.propagate(delays)
+	}
+	ui = make([]float64, len(c.Gates))
+	for _, g := range c.Gates {
+		i := g.ID
+		if g.Type.IsSource() {
+			continue
+		}
+		fresh := full || d.affected[i]
+		if w := genWidth[i]; w != p.genWidth[i] {
+			if !fresh {
+				copy(d.incrWij[i*nPOs:(i+1)*nPOs], d.baseWij[i*nPOs:(i+1)*nPOs])
+			}
+			d.reinterp(i, w, full)
+			fresh = true
+		}
+		switch {
+		case fresh:
+			ui[i] = reduce(i, d.incrWij[i*nPOs:(i+1)*nPOs])
+		case rereduce[i]:
+			ui[i] = reduce(i, d.baseWij[i*nPOs:(i+1)*nPOs])
+		default:
+			ui[i] = d.baseUi[i]
+		}
+		u += ui[i]
+	}
+	return ui, u
+}
+
+// reinterp redoes gate i's step (iv) in the incremental W_ij arena for
+// generated width w, exactly as computeGateColumns writes it, reading
+// each WS row from the incremental arena where this call computed it
+// (every row when full) and from the baseline elsewhere.
+func (d *Delta) reinterp(i int, w float64, full bool) {
+	p := d.p
+	g := p.c.Gates[i]
+	nPOs := p.nPOs
+	K := len(p.samples)
+	wij := d.incrWij[i*nPOs : (i+1)*nPOs]
+	ownCol := -1
+	if g.PO {
+		ownCol, _ = p.cc.POColumn(i)
+		wij[ownCol] = w
+		if len(g.Fanout) == 0 {
+			return
+		}
+	}
+	gi, gf := lut.PrepInterp1D(p.samples, w)
+	den := p.den[i*nPOs : (i+1)*nPOs]
+	for j := range wij {
+		if j == ownCol || p.sens.Pij[i][j] == 0 || den[j] == 0 {
+			continue
+		}
+		ws := d.baseWS
+		if full || (d.affected[i] && d.cols[j]) {
+			ws = d.incrWS
+		}
+		wij[j] = lut.ApplyInterp1D(ws[(i*nPOs+j)*K:(i*nPOs+j+1)*K], gi, gf)
+	}
 }
 
 // RecomputeFull is Recompute without the incremental shortcut: the

@@ -16,7 +16,9 @@
 //	                  expected PO glitch widths W_ij. Deterministic and
 //	                  parallel over PO columns; the Delta variant
 //	                  re-propagates only the fanin cones of gates whose
-//	                  delays changed (the optimizer's inner loop).
+//	                  delays changed, in the PO columns those gates
+//	                  reach (the optimizer's gradient probes and
+//	                  candidate scoring).
 //	LatchingWindow    the Eq. 3 clamp min(W, T): a glitch wider than
 //	                  the clock period is certainly latched. Clamp,
 //	                  GateU and the Reduce/ReduceSequential reducers.

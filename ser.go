@@ -376,8 +376,9 @@ type AnalysisOptions struct {
 	// Lean runs the analysis in pooled scratch: U and the per-gate
 	// report are bit-identical, but the report's Raw() analysis
 	// retains no WS/Wij tables (SpectrumU is unavailable and
-	// RecomputeU is non-incremental). The serving tier's default —
-	// it cuts tens of MB of per-request allocation on large circuits.
+	// RecomputeU is non-incremental). It is off unless the caller sets
+	// it (the serving tier does not); it cuts tens of MB of
+	// per-request allocation on large circuits.
 	Lean bool
 	// Approx, when non-nil, switches to the sampled analysis mode:
 	// U is estimated from independent vector batches with a Student-t
@@ -813,8 +814,8 @@ func (s *System) OptimizeCompiledContext(ctx context.Context, h *Compiled, opts 
 		sopts.Weights = *opts.Weights
 	}
 	// One span for the whole optimizer: its cost loop re-enters the
-	// pipeline thousands of times through RecomputeU, which is far too
-	// hot to instrument per call.
+	// pipeline thousands of times through RecomputeU and Reanalyze,
+	// which are far too hot to instrument per call.
 	endOpt := trace.StartStage(rec, "sertopt.optimize")
 	res, err := sertopt.OptimizeCompiled(h.cc, s.Lib, sopts)
 	endOpt()
